@@ -26,7 +26,7 @@ COVER_FLOOR_ORACLE = 85
 # brief live search so verify catches shallow regressions in new code.
 FUZZTIME = 5s
 
-.PHONY: verify vet build test race chaos chaos-kill storm cover fuzz bench bench-json bench-check gap
+.PHONY: verify vet build test race chaos chaos-kill storm cover fuzz bench bench-json bench-check gap perfbench
 
 verify: vet build test race chaos chaos-kill storm cover fuzz bench-json bench-check
 	-$(MAKE) gap
@@ -144,3 +144,13 @@ bench-check:
 # `turboca -oracle` for the interactive version.
 gap:
 	$(GO) test -race -count=1 -run '^TestGapCampaign$$' ./internal/experiments
+
+# The end-to-end benchmark (BENCHMARK.json, perfbench/README.md): each
+# workload for SECONDS at seed SEED, one result line per workload. Not part
+# of verify: its numbers are host wall-clock times.
+SEED ?= 1
+SECONDS ?= 40
+perfbench:
+	for w in fleet-steady fleet-day fastack-testbed; do \
+		bash perfbench/run.sh --workload $$w --seed $(SEED) --seconds $(SECONDS) --trace 0 || exit 1; \
+	done

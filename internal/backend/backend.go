@@ -491,7 +491,7 @@ func (b *Backend) inputTemplate(band spectrum.Band, maxW spectrum.Width) []turbo
 			ID:           ap.ID,
 			MaxWidth:     minWidth(maxW, ap.MaxWidth),
 			CSAFraction:  csaFraction(ap),
-			ExternalUtil: b.externalUtilMap(ap, band),
+			ExternalUtil: b.Scenario.ExternalUtilMap(ap.Pos, band),
 		}
 		if donor != nil {
 			v.WidthLoad = donor[i].WidthLoad
@@ -575,17 +575,6 @@ func widthLoad(ap *topo.AP) map[spectrum.Width]float64 {
 	}
 	for _, c := range ap.Clients {
 		out[c.MaxWidth] += c.UsageWeight / total
-	}
-	return out
-}
-
-func (b *Backend) externalUtilMap(ap *topo.AP, band spectrum.Band) map[int]float64 {
-	out := map[int]float64{}
-	for _, c := range spectrum.Channels(band, spectrum.W20, true) {
-		u := b.Scenario.ExternalUtilization(ap.Pos, band, c.Number)
-		if u > 0 {
-			out[c.Number] = u
-		}
 	}
 	return out
 }

@@ -110,12 +110,7 @@ func (c Channel) Overlaps(o Channel) bool {
 // Sub20Numbers returns the IEEE numbers of the 20 MHz sub-channels covered
 // by c, lowest first. For a 20 MHz channel this is just {c.Number}.
 func (c Channel) Sub20Numbers() []int {
-	if c.Band == Band2G4 || c.Width == W20 {
-		return []int{c.Number}
-	}
-	n := int(c.Width) / 20
-	// 20 MHz neighbours at 5 and 6 GHz are 4 channel numbers apart.
-	first := c.Number - 2*(n-1)
+	first, n := c.sub20Span()
 	out := make([]int, n)
 	for i := range out {
 		out[i] = first + i*4
@@ -123,8 +118,22 @@ func (c Channel) Sub20Numbers() []int {
 	return out
 }
 
+// sub20Span returns the lowest of c's 20 MHz sub-channel numbers and how
+// many there are; 20 MHz neighbours at 5 and 6 GHz are 4 channel numbers
+// apart.
+func (c Channel) sub20Span() (first, n int) {
+	if c.Band == Band2G4 || c.Width == W20 {
+		return c.Number, 1
+	}
+	n = int(c.Width) / 20
+	return c.Number - 2*(n-1), n
+}
+
 // Primary20 returns the default primary 20 MHz sub-channel (the lowest).
-func (c Channel) Primary20() int { return c.Sub20Numbers()[0] }
+func (c Channel) Primary20() int {
+	first, _ := c.sub20Span()
+	return first
+}
 
 // dfs5 is the set of 5 GHz 20 MHz channel numbers subject to DFS in the US
 // (U-NII-2A and U-NII-2C).
@@ -190,6 +199,52 @@ func build6(numbers []int, w Width) []Channel {
 	return out
 }
 
+// widthSlot indexes the per-width tables: 20/40/80/160 MHz.
+func widthSlot(w Width) (int, bool) {
+	switch w {
+	case W20:
+		return 0, true
+	case W40:
+		return 1, true
+	case W80:
+		return 2, true
+	case W160:
+		return 3, true
+	}
+	return 0, false
+}
+
+// tables holds every band's regulatory channel list per width slot, DFS
+// channels included, built once. Band 0/1/2 is 2.4/5/6 GHz. The slices are
+// shared and never handed out: Channels copies them.
+var tables = func() (t [3][4][]Channel) {
+	for _, n := range NonOverlapping24 {
+		t[Band2G4][0] = append(t[Band2G4][0], Channel{Band: Band2G4, Number: n, Width: W20})
+	}
+	for i, src := range [][]int{us5w20, us5w40, us5w80, us5w160} {
+		t[Band5][i] = build5(src, Widths[i])
+	}
+	for i, src := range [][]int{us6w20, us6w40, us6w80, us6w160} {
+		t[Band6][i] = build6(src, Widths[i])
+	}
+	return t
+}()
+
+// table returns the shared regulatory list for band and width (nil when
+// the band has no such width). Bands other than 2.4 and 6 GHz read as
+// 5 GHz.
+func table(band Band, w Width) []Channel {
+	slot, ok := widthSlot(w)
+	if !ok {
+		return nil
+	}
+	switch band {
+	case Band2G4, Band6:
+		return tables[band][slot]
+	}
+	return tables[Band5][slot]
+}
+
 // Channels returns the US-regulatory channel list for band and width.
 // When allowDFS is false, channels whose bandwidth touches a DFS
 // sub-channel are excluded. The result is freshly allocated.
@@ -197,52 +252,13 @@ func build6(numbers []int, w Width) []Channel {
 // The 2.4 GHz band only supports 20 MHz here: 40 MHz at 2.4 GHz is
 // catastrophic in enterprise deployments and Meraki APs do not use it.
 func Channels(band Band, w Width, allowDFS bool) []Channel {
-	if band == Band2G4 {
-		if w != W20 {
-			return nil
-		}
-		out := make([]Channel, 0, len(NonOverlapping24))
-		for _, n := range NonOverlapping24 {
-			out = append(out, Channel{Band: Band2G4, Number: n, Width: W20})
-		}
-		return out
-	}
-	if band == Band6 {
-		var src []int
-		switch w {
-		case W20:
-			src = us6w20
-		case W40:
-			src = us6w40
-		case W80:
-			src = us6w80
-		case W160:
-			src = us6w160
-		default:
-			return nil
-		}
-		return build6(src, w)
-	}
-	var src []int
-	switch w {
-	case W20:
-		src = us5w20
-	case W40:
-		src = us5w40
-	case W80:
-		src = us5w80
-	case W160:
-		src = us5w160
-	default:
+	all := table(band, w)
+	if all == nil {
 		return nil
 	}
-	all := build5(src, w)
-	if allowDFS {
-		return all
-	}
-	out := all[:0:0]
+	out := make([]Channel, 0, len(all))
 	for _, c := range all {
-		if !c.DFS {
+		if allowDFS || !c.DFS {
 			out = append(out, c)
 		}
 	}
@@ -264,7 +280,7 @@ func AllChannels(band Band, maxWidth Width, allowDFS bool) []Channel {
 // ChannelAt returns the channel with the given band/number/width, or false
 // if it is not a valid US channel.
 func ChannelAt(band Band, number int, w Width) (Channel, bool) {
-	for _, c := range Channels(band, w, true) {
+	for _, c := range table(band, w) {
 		if c.Number == number {
 			return c, true
 		}
@@ -280,7 +296,7 @@ func Narrower(c Channel) Channel {
 		return c
 	}
 	want := c.Primary20()
-	for _, cand := range Channels(c.Band, c.Width/2, true) {
+	for _, cand := range table(c.Band, c.Width/2) {
 		if cand.Primary20() == want {
 			return cand
 		}
@@ -296,25 +312,17 @@ func Wider(c Channel) (Channel, bool) {
 	if c.Band == Band2G4 || c.Width == W160 {
 		return Channel{}, false
 	}
-	for _, cand := range Channels(c.Band, c.Width*2, true) {
-		if containsAll(cand.Sub20Numbers(), c.Sub20Numbers()) {
+	first, n := c.sub20Span()
+	last := first + 4*(n-1)
+	for _, cand := range table(c.Band, c.Width*2) {
+		// cand holds all of c's sub-channels: c's run of numbers lies
+		// inside cand's and on the same 4-apart grid.
+		cf, cn := cand.sub20Span()
+		if first >= cf && last <= cf+4*(cn-1) && (first-cf)%4 == 0 {
 			return cand, true
 		}
 	}
 	return Channel{}, false
-}
-
-func containsAll(haystack, needles []int) bool {
-	set := make(map[int]bool, len(haystack))
-	for _, h := range haystack {
-		set[h] = true
-	}
-	for _, n := range needles {
-		if !set[n] {
-			return false
-		}
-	}
-	return true
 }
 
 // CACDuration is the Channel Availability Check wait mandated before

@@ -196,3 +196,57 @@ func TestStrings(t *testing.T) {
 		t.Fatal("band strings")
 	}
 }
+
+// TestWiderMatchesScan pins Wider, which scans the shared tables, against
+// a from-scratch scan (a fresh copy of the next width's channel list,
+// searched with a set for a bond holding every sub-channel) over every
+// band, width and channel number, regulatory or not.
+func TestWiderMatchesScan(t *testing.T) {
+	scan := func(c Channel) (Channel, bool) {
+		if c.Band == Band2G4 || c.Width == W160 {
+			return Channel{}, false
+		}
+		for _, cand := range Channels(c.Band, c.Width*2, true) {
+			in := map[int]bool{}
+			for _, s := range cand.Sub20Numbers() {
+				in[s] = true
+			}
+			all := true
+			for _, s := range c.Sub20Numbers() {
+				all = all && in[s]
+			}
+			if all {
+				return cand, true
+			}
+		}
+		return Channel{}, false
+	}
+	for _, band := range []Band{Band2G4, Band5, Band6} {
+		for _, w := range Widths {
+			for n := -1; n <= 200; n++ {
+				for _, dfs := range []bool{false, true} {
+					c := Channel{Band: band, Number: n, Width: w, DFS: dfs}
+					got, gok := Wider(c)
+					want, wok := scan(c)
+					if got != want || gok != wok {
+						t.Fatalf("Wider(%+v) = %v, %v; scan gives %v, %v", c, got, gok, want, wok)
+					}
+				}
+			}
+		}
+	}
+}
+
+// TestChannelsFresh: callers append to and overwrite what Channels
+// returns, so every call must hand out its own slice.
+func TestChannelsFresh(t *testing.T) {
+	for _, band := range []Band{Band2G4, Band5, Band6} {
+		a := Channels(band, W20, true)
+		want := a[0]
+		a[0] = Channel{}
+		_ = append(a[:1], Channel{Number: -7})
+		if b := Channels(band, W20, true); b[0] != want || b[1].Number == -7 {
+			t.Fatalf("%v: Channels returned a shared slice", band)
+		}
+	}
+}

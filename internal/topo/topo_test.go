@@ -1,6 +1,8 @@
 package topo
 
 import (
+	"math"
+	"math/rand"
 	"strings"
 	"testing"
 
@@ -303,5 +305,45 @@ func TestRenderPlan(t *testing.T) {
 	}
 	if glyphs < 20 {
 		t.Fatalf("only %d APs rendered", glyphs)
+	}
+}
+
+// TestExternalUtilMapMatchesPerChannel: the whole-band map equals
+// ExternalUtilization channel by channel, bit for bit, over overlapping
+// interferers of every width (including saturation past 1).
+func TestExternalUtilMapMatchesPerChannel(t *testing.T) {
+	r := rand.New(rand.NewSource(7))
+	for trial := 0; trial < 50; trial++ {
+		sc := &Scenario{}
+		for k := 0; k < 40; k++ {
+			band := []spectrum.Band{spectrum.Band2G4, spectrum.Band5, spectrum.Band6}[r.Intn(3)]
+			w := spectrum.Widths[r.Intn(len(spectrum.Widths))]
+			chans := spectrum.Channels(band, spectrum.W20, true)
+			sc.Interferers = append(sc.Interferers, &Interferer{
+				Pos:    Point{X: r.Float64() * 60, Y: r.Float64() * 60},
+				Band:   band,
+				Chan20: chans[r.Intn(len(chans))].Number,
+				Width:  w,
+				Duty:   r.Float64(),
+				RangeM: 20 + 30*r.Float64(),
+			})
+		}
+		pos := Point{X: r.Float64() * 60, Y: r.Float64() * 60}
+		for _, band := range []spectrum.Band{spectrum.Band2G4, spectrum.Band5, spectrum.Band6} {
+			got := sc.ExternalUtilMap(pos, band)
+			n := 0
+			for _, c := range spectrum.Channels(band, spectrum.W20, true) {
+				want := sc.ExternalUtilization(pos, band, c.Number)
+				if want > 0 {
+					n++
+				}
+				if math.Float64bits(got[c.Number]) != math.Float64bits(want) {
+					t.Fatalf("trial %d %v ch%d: map %v, per channel %v", trial, band, c.Number, got[c.Number], want)
+				}
+			}
+			if len(got) != n {
+				t.Fatalf("trial %d %v: map has %d entries, %d channels have utilization", trial, band, len(got), n)
+			}
+		}
 	}
 }

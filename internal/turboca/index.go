@@ -26,7 +26,17 @@ type chanTable struct {
 	subAt [][4]chanIdx
 	// sub20s[c] lists c's 20 MHz channel numbers.
 	sub20s [][]int
+
+	// cands[n][dfs] is a planner's candidate set when its width cap
+	// admits the first n (0 to 4) of spectrum.Widths and DFS is admitted
+	// iff dfs is 1: indices in AllChannels order. Only shared tables fill
+	// it; the lists are read-only and capacity-capped.
+	cands [5][2]candList
 }
+
+// candList is a planner's candidate channels, all of them and the
+// DFS-free ones.
+type candList struct{ all, noDFS []chanIdx }
 
 type chanKey struct {
 	band   spectrum.Band
@@ -140,6 +150,20 @@ func sharedTable(band spectrum.Band) *chanTable {
 		t.intern(c)
 	}
 	t.finalize()
+	for n := 1; n <= len(spectrum.Widths); n++ {
+		for dfs := 0; dfs < 2; dfs++ {
+			var l candList
+			for _, c := range spectrum.AllChannels(band, spectrum.Widths[n-1], dfs == 1) {
+				idx := t.byKey[keyOf(c)]
+				l.all = append(l.all, idx)
+				if !c.DFS {
+					l.noDFS = append(l.noDFS, idx)
+				}
+			}
+			l.all, l.noDFS = l.all[:len(l.all):len(l.all)], l.noDFS[:len(l.noDFS):len(l.noDFS)]
+			t.cands[n][dfs] = l
+		}
+	}
 	sharedTables[band] = t
 	return t
 }

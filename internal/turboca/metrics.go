@@ -118,16 +118,17 @@ type Config struct {
 	// for any worker count: every round draws from its own RNG stream
 	// derived from (seed, hop level, round index).
 	Workers int
-	// FullRescore disables the incremental per-AP contribution cache and
-	// scores every NBO round with a full logNetP re-sum. Plans and scores
-	// are byte-identical either way (see rescore.go); this is the debug
-	// oracle the property tests compare the incremental path against.
-	FullRescore bool
 	// Obs, when non-nil, redirects the planner's metrics (pass/hop-level
 	// timings, NetP trajectory, accept/reject counters — see obs.go) to a
 	// private scope instead of the process-wide default registry. Tests
 	// use this for isolated, deterministic snapshots.
 	Obs *obs.Scope
+
+	// fullRescore is a test hook: it disables the incremental per-AP
+	// contribution cache and scores every NBO round with a full logNetP
+	// re-sum. Plans and scores are byte-identical either way (see
+	// rescore.go); the property tests compare the two paths.
+	fullRescore bool
 }
 
 // DefaultConfig returns production-like tunables.
@@ -192,10 +193,11 @@ type planner struct {
 	blocked   []bool // per interned channel: touches a quarantined sub-channel
 
 	// Precomputed per view:
-	loadShare [][4]float64 // usage share of clients by max-width slot
-	extOf     [][]float64  // worst external util per interned channel
-	weight    []float64    // contention weight this AP exerts on neighbors
-	penBase   []float64    // switch penalty before channel comparison
+	loadAt  [][4][4]float64 // load(b) as [assigned width slot][b], see loadAtWidth
+	maxDeg  int             // longest neighbor list; sizes the scoring memo
+	extOf   [][]float64     // worst external util per interned channel
+	weight  []float64       // contention weight this AP exerts on neighbors
+	penBase []float64       // switch penalty before channel comparison
 
 	// Scratch state for one NBO pass.
 	assign []chanIdx // noChan = unassigned in the working plan
@@ -218,6 +220,13 @@ type planner struct {
 	scoredChan []chanIdx
 	chgGen     []int
 	met        *plannerMetrics
+
+	// memo caches deltaScore's terms within one scoring epoch (memo.go);
+	// every clone owns its own while it holds one.
+	memo *scoreMemo
+	// scoreRef, when set, replaces deltaScore: a test hook through which
+	// the unmemoized reference scorer drives the same candidate loops.
+	scoreRef func(i int, c chanIdx) float64
 }
 
 func newPlanner(cfg Config, in Input) *planner {
@@ -231,20 +240,20 @@ func newPlanner(cfg Config, in Input) *planner {
 	n := len(in.APs)
 	p := &planner{
 		cfg: cfg, in: in,
-		tbl:       sharedTable(in.Band),
-		views:     make([]*APView, n),
-		idxOf:     make(map[int]int, n),
-		neigh:     make([][]int, n),
-		onAir:     make([]chanIdx, n),
-		current:   make([]chanIdx, n),
-		loadShare: make([][4]float64, n),
-		weight:    make([]float64, n),
-		penBase:   make([]float64, n),
-		assign:    make([]chanIdx, n),
-		ignore:    make([]bool, n),
-		eligGen:   make([]int, n),
-		seenGen:   make([]int, n),
-		remBuf:    make([]int, 0, n),
+		tbl:     sharedTable(in.Band),
+		views:   make([]*APView, n),
+		idxOf:   make(map[int]int, n),
+		neigh:   make([][]int, n),
+		onAir:   make([]chanIdx, n),
+		current: make([]chanIdx, n),
+		loadAt:  make([][4][4]float64, n),
+		weight:  make([]float64, n),
+		penBase: make([]float64, n),
+		assign:  make([]chanIdx, n),
+		ignore:  make([]bool, n),
+		eligGen: make([]int, n),
+		seenGen: make([]int, n),
+		remBuf:  make([]int, 0, n),
 	}
 	for i := range in.APs {
 		v := &in.APs[i]
@@ -253,14 +262,28 @@ func newPlanner(cfg Config, in Input) *planner {
 	}
 	// Candidates resolve against the shared table in AllChannels order —
 	// the same iteration order a private table would produce, so plans are
-	// byte-identical to the per-planner-table implementation.
-	for _, c := range spectrum.AllChannels(in.Band, maxW, in.AllowDFS) {
-		idx := p.internChannel(c)
-		p.cands = append(p.cands, idx)
-		if !c.DFS {
-			p.candNoDFS = append(p.candNoDFS, idx)
+	// byte-identical to the per-planner-table implementation. The shared
+	// table keeps those lists (sharedTable), so planners share them.
+	widths := 0
+	for _, w := range spectrum.Widths {
+		if w > maxW {
+			break
 		}
+		widths++
 	}
+	dfs := 0
+	if in.AllowDFS {
+		dfs = 1
+	}
+	cl := p.tbl.cands[widths][dfs]
+	p.cands, p.candNoDFS = cl.all, cl.noDFS
+	// Every AP's neighbor list is a capacity-capped window of one backing
+	// array.
+	edges := 0
+	for _, v := range p.views {
+		edges += len(v.Neighbors)
+	}
+	neighBuf := make([]int, 0, edges)
 	for i, v := range p.views {
 		// An AP that has never been assigned reports a zero-value (or
 		// otherwise malformed) Current; interning it would inject a bogus
@@ -272,14 +295,20 @@ func newPlanner(cfg Config, in Input) *planner {
 		}
 		p.current[i] = p.onAir[i]
 		p.assign[i] = noChan
+		start := len(neighBuf)
 		for _, nid := range v.Neighbors {
 			if j, ok := p.idxOf[nid]; ok {
-				p.neigh[i] = append(p.neigh[i], j)
+				neighBuf = append(neighBuf, j)
 			}
 		}
+		if end := len(neighBuf); end > start {
+			p.neigh[i] = neighBuf[start:end:end]
+		}
+		p.maxDeg = max(p.maxDeg, len(p.neigh[i]))
 		// Sum in fixed width order, not map order: float addition is not
 		// associative, and a map-order sum makes two planners built from
 		// the same input disagree in the low bits of every NetP.
+		var loadShare [4]float64 // usage share of clients by max-width slot
 		total := 0.0
 		for _, w := range spectrum.Widths {
 			total += v.WidthLoad[w]
@@ -287,11 +316,16 @@ func newPlanner(cfg Config, in Input) *planner {
 		if total > 0 {
 			for _, w := range spectrum.Widths {
 				if s := v.WidthLoad[w]; s > 0 {
-					p.loadShare[i][widthSlot(w)] += s / total
+					loadShare[widthSlot(w)] += s / total
 				}
 			}
 		} else {
-			p.loadShare[i][0] = 1
+			loadShare[0] = 1
+		}
+		for cwSlot := 0; cwSlot < 4; cwSlot++ {
+			for b := 0; b <= cwSlot; b++ {
+				p.loadAt[i][cwSlot][b] = loadAtWidth(&loadShare, v.Load, b, cwSlot)
+			}
 		}
 		p.weight[i] = 0.2 + v.Load
 		p.penBase[i] = p.penaltyBase(v)
@@ -301,9 +335,13 @@ func newPlanner(cfg Config, in Input) *planner {
 	if len(p.tbl.overlap) != len(p.tbl.chans) {
 		p.tbl.finalize()
 	}
+	// One backing array, capacity-capped per AP so that refreshTables'
+	// appends reallocate rather than run into the next AP's row.
+	nc := len(p.tbl.chans)
+	extBuf := make([]float64, n*nc)
 	p.extOf = make([][]float64, n)
 	for i, v := range p.views {
-		p.extOf[i] = make([]float64, len(p.tbl.chans))
+		p.extOf[i] = extBuf[i*nc : (i+1)*nc : (i+1)*nc]
 		for ci, subs := range p.tbl.sub20s {
 			p.extOf[i][ci] = p.extWorst(v, subs)
 		}
@@ -386,7 +424,7 @@ func (p *planner) penaltyBase(v *APView) float64 {
 }
 
 // cloneScratch returns a planner that shares every immutable table with p
-// (tbl, views, neigh, extOf, loadShare, weight, penBase, onAir, current)
+// (tbl, views, neigh, extOf, loadAt, weight, penBase, onAir, current)
 // but owns its own assign/ignore scratch state, so concurrent NBO rounds
 // can run on clones without synchronization. The shared current slice is
 // only mutated between hop levels, when no clone is running.
@@ -403,6 +441,7 @@ func (p *planner) cloneScratch() *planner {
 	cp.contrib = nil
 	cp.scoredChan = nil
 	cp.chgGen = nil
+	cp.memo = nil
 	for i := range cp.assign {
 		cp.assign[i] = noChan
 	}
@@ -442,7 +481,8 @@ func (p *planner) airtime(i int, sub chanIdx) float64 {
 // loadAtWidth returns load(b): the usage-weighted share of clients whose
 // effective width slot is bSlot given assignment width slot cwSlot, scaled
 // by the AP's overall load so busy APs deviate more from NodeP = 1.
-func (p *planner) loadAtWidth(i, bSlot, cwSlot int) float64 {
+// newPlanner tabulates it per AP as loadAt.
+func loadAtWidth(loadShare *[4]float64, apLoad float64, bSlot, cwSlot int) float64 {
 	share := 0.0
 	for s := 0; s < 4; s++ {
 		eff := s
@@ -450,10 +490,10 @@ func (p *planner) loadAtWidth(i, bSlot, cwSlot int) float64 {
 			eff = cwSlot // wider clients collapse onto the assigned width
 		}
 		if eff == bSlot {
-			share += p.loadShare[i][s]
+			share += loadShare[s]
 		}
 	}
-	return share * p.views[i].Load
+	return share * apLoad
 }
 
 // logNodeP computes ln NodeP(i, c) under the working state:
@@ -461,32 +501,54 @@ func (p *planner) loadAtWidth(i, bSlot, cwSlot int) float64 {
 //	NodeP(c, cw) = Π_{b=20MHz}^{cw} channel_metric(c,b)^{load(b)}
 //	channel_metric(c,b) = airtime(c,b)·capacity(c,b) − penalty_c
 func (p *planner) logNodeP(i int, c chanIdx) float64 {
-	pen := 0.0
+	return p.nodeTerm(i, c, false)
+}
+
+// nodeTerm is logNodeP. With memoize set — only while scoring AP i's own
+// candidates in an open memo epoch (memo.go) — each level's ln
+// channel_metric is read from, or stored in, the epoch's memo instead of
+// being recomputed; the sum runs over the same values in the same order
+// either way.
+func (p *planner) nodeTerm(i int, c chanIdx, memoize bool) float64 {
+	pen, penalised := 0.0, 0
 	// The penalty anchors to the channel clients are actually on (onAir),
 	// not the working incumbent: adopting a best-so-far plan between hop
 	// levels must not erase the cost of moving away from the real current
 	// channel, and a first assignment disrupts nobody.
 	if p.onAir[i] != noChan && c != p.onAir[i] {
-		pen = p.penBase[i]
+		pen, penalised = p.penBase[i], 1
 	}
 	cwSlot := widthSlot(p.tbl.chans[c].Width)
+	loads := &p.loadAt[i][cwSlot]
+	subs := &p.tbl.subAt[c]
 	sum := 0.0
 	for b := 0; b <= cwSlot; b++ {
-		load := p.loadAtWidth(i, b, cwSlot)
+		load := loads[b]
 		if load == 0 {
 			continue
 		}
-		sub := p.tbl.subAt[c][b]
-		// capacity: width scaling times channel quality after non-WiFi
-		// interference (§4.4.1).
-		capacity := widthFrac[b] * (1 - 0.5*p.extOf[i][sub])
-		metric := p.airtime(i, sub)*capacity - pen
-		if metric < p.cfg.MetricFloor {
-			metric = p.cfg.MetricFloor
+		var lm float64
+		if memoize {
+			lm = p.memoLogMetric(i, b, subs[b], pen, penalised)
+		} else {
+			lm = p.logMetric(i, b, subs[b], pen)
 		}
-		sum += load * math.Log(metric)
+		sum += load * lm
 	}
 	return sum
+}
+
+// logMetric is ln channel_metric for AP i on its b-width sub-channel sub,
+// floored at MetricFloor.
+func (p *planner) logMetric(i, b int, sub chanIdx, pen float64) float64 {
+	// capacity: width scaling times channel quality after non-WiFi
+	// interference (§4.4.1).
+	capacity := widthFrac[b] * (1 - 0.5*p.extOf[i][sub])
+	metric := p.airtime(i, sub)*capacity - pen
+	if metric < p.cfg.MetricFloor {
+		metric = p.cfg.MetricFloor
+	}
+	return math.Log(metric)
 }
 
 // logNetP sums ln NodeP over every AP under the working state (NetP is

@@ -25,6 +25,7 @@ func (p *planner) acc(i int) chanIdx {
 	maxW := p.views[i].MaxWidth
 	bestScore := math.Inf(-1)
 	best := noChan
+	p.beginScoring()
 	for _, c := range cands {
 		if p.blocked[c] || p.tbl.chans[c].Width > maxW {
 			continue
@@ -64,6 +65,7 @@ func (p *planner) acc(i int) chanIdx {
 // blocked filter is dropped so the planner still degrades to a
 // deterministic answer instead of failing.
 func (p *planner) narrowestFallback(i int) chanIdx {
+	p.beginScoring()
 	if best := p.narrowestAmong(i, true); best != noChan {
 		return best
 	}
@@ -97,27 +99,6 @@ func (p *planner) narrowestAmong(i int, skipBlocked bool) chanIdx {
 	return best
 }
 
-// deltaScore is the NetP contribution affected by assigning c to i: its
-// own NodeP plus the NodeP of every neighbor (whose airtime depends on
-// i's channel).
-func (p *planner) deltaScore(i int, c chanIdx) float64 {
-	prev := p.assign[i]
-	p.assign[i] = c
-	score := p.logNodeP(i, c)
-	for _, j := range p.neigh[i] {
-		if p.ignore[j] {
-			continue
-		}
-		nc := p.channelOf(j)
-		if nc == noChan {
-			continue
-		}
-		score += p.logNodeP(j, nc)
-	}
-	p.assign[i] = prev
-	return score
-}
-
 // bestNonDFSFallback picks the best DFS-free channel for i, used when a
 // radar event forces an immediate move (§4.5.2). Quarantined channels
 // are excluded — a fallback that lands inside an active NOP window is
@@ -128,6 +109,7 @@ func (p *planner) bestNonDFSFallback(i int) spectrum.Channel {
 	maxW := p.views[i].MaxWidth
 	bestScore := math.Inf(-1)
 	best := noChan
+	p.beginScoring()
 	for _, c := range p.candNoDFS {
 		if p.blocked[c] || p.tbl.chans[c].Width > maxW {
 			continue
@@ -294,6 +276,19 @@ func roundSeed(base int64, level, round int) int64 {
 	return int64(z ^ (z >> 31))
 }
 
+// randPool recycles the generators of NBO rounds and invocations: a
+// math/rand source carries 4.9 KB of state, and reseeding a used one
+// yields exactly the stream of a fresh source with that seed.
+var randPool = sync.Pool{New: func() any { return rand.New(rand.NewSource(1)) }}
+
+// seededRand takes a generator from randPool seeded with seed; hand it
+// back with randPool.Put once nothing draws from it any more.
+func seededRand(seed int64) *rand.Rand {
+	r := randPool.Get().(*rand.Rand)
+	r.Seed(seed)
+	return r
+}
+
 // RunNBO executes the paper's accept-if-better loop: several NBO rounds at
 // each hop limit in hops (e.g. [2,1,0] for the daily schedule), always
 // ending with i=0, keeping the best plan seen. The incumbent (current
@@ -365,10 +360,12 @@ func runNBO(cfg Config, in Input, rng *rand.Rand, hops []int, onLevel func(hop i
 				defer wg.Done()
 				wp := p.cloneScratch()
 				for r := w; r < runs; r += workers {
-					rr := rand.New(rand.NewSource(roundSeed(base, li, r)))
+					rr := seededRand(roundSeed(base, li, r))
 					wp.nbo(rr, h)
+					randPool.Put(rr)
 					out[r] = roundOut{wp.score(), append([]chanIdx(nil), wp.assign...)}
 				}
+				wp.releaseMemo()
 			}(w)
 		}
 		wg.Wait()

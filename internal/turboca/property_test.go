@@ -199,7 +199,7 @@ func obsEqual(a, b deterministicObs) bool {
 //     LogNetP the planner reported,
 //  5. results — plan, score, counters — are byte-identical across
 //     worker counts AND across the incremental/full-rescore scoring
-//     paths (Config.FullRescore is the debug oracle the incremental
+//     paths (turboca.WithFullRescore is the oracle the incremental
 //     contribution cache must match bit for bit), and
 //  6. the deterministic slice of the obs snapshot (counters, NetP
 //     histogram quantiles) is identical across all those shapes.
@@ -220,7 +220,9 @@ func TestPlanInvariants(t *testing.T) {
 			cfg := turboca.DefaultConfig()
 			cfg.Runs = 4
 			cfg.Workers = workers
-			cfg.FullRescore = shape.full
+			if shape.full {
+				cfg = turboca.WithFullRescore(cfg)
+			}
 			cfg.Obs = reg.Scope("turboca")
 			res := turboca.RunNBO(cfg, in, rand.New(rand.NewSource(seed*7919+1)), []int{1, 0})
 			snap := obsSlice(reg)

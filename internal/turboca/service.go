@@ -1,7 +1,6 @@
 package turboca
 
 import (
-	"math/rand"
 	"sync"
 
 	"repro/internal/sim"
@@ -192,7 +191,9 @@ func (s *Service) RunOnce(hops []int) {
 		wg.Add(1)
 		go func(j *job) {
 			defer wg.Done()
-			j.res = RunNBO(s.Cfg, j.in, rand.New(rand.NewSource(j.seed)), j.hops)
+			rng := seededRand(j.seed)
+			j.res = RunNBO(s.Cfg, j.in, rng, j.hops)
+			randPool.Put(rng)
 		}(j)
 	}
 	wg.Wait()
